@@ -181,7 +181,9 @@ fn solver_grid(c: &mut Criterion) {
     // ----------------------------------------------------------------
     // exelim: merge and msort end-to-end.  Their residual existential
     // searches used to run for *minutes* (they were excluded from every
-    // suite); the indexed component search holds them to seconds.  The
+    // suite); the indexed component search with its dependency-table
+    // resolver and single-pass instantiation holds them to well under a
+    // second (ceilings 2 s and 10 s, with margin for slow runners).  The
     // stated bounds are still not discharged (`ok = false` is the
     // documented verdict — see rel-suite), so the gate here is the time
     // ceiling, not the verdict.
@@ -259,8 +261,8 @@ fn solver_grid(c: &mut Criterion) {
         "proving regressed below the sweeping it replaces: {fm_speedup:.2}x < 1.2x"
     );
     assert!(
-        merge_ms < 10_000.0 && msort_ms < 60_000.0,
-        "the indexed existential search stopped holding merge/msort to seconds: \
+        merge_ms < 2_000.0 && msort_ms < 10_000.0,
+        "the existential search stopped holding merge/msort under their ceilings: \
          merge {merge_ms:.0} ms, msort {msort_ms:.0} ms"
     );
 }

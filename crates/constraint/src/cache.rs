@@ -79,6 +79,16 @@ impl<'a> QueryRef<'a> {
         }
     }
 
+    /// The query's hypothesis.
+    pub fn hyp(&self) -> &'a Constr {
+        self.hyp
+    }
+
+    /// The query's goal.
+    pub fn goal(&self) -> &'a Constr {
+        self.goal
+    }
+
     /// The stable 64-bit structural hash used for shard and bucket selection.
     pub fn stable_hash(&self) -> u64 {
         let mut h = Fnv1a::default();

@@ -291,56 +291,6 @@ impl Constr {
         }
     }
 
-    /// Simultaneous substitution of several variables in **one traversal**
-    /// (existential elimination used to clone the whole matrix once per
-    /// eliminated variable).  Same precondition as [`Idx::subst_all`]: no
-    /// replacement may mention a substituted variable — validated once
-    /// here, for the whole constraint, in debug builds.
-    pub fn subst_all(&self, map: &std::collections::BTreeMap<IdxVar, Idx>) -> Constr {
-        debug_assert!(
-            map.values().all(|r| map.keys().all(|k| !r.mentions(k))),
-            "subst_all replacements must not mention substituted variables"
-        );
-        if map.is_empty() {
-            return self.clone();
-        }
-        self.subst_all_inner(map)
-    }
-
-    fn subst_all_inner(&self, map: &std::collections::BTreeMap<IdxVar, Idx>) -> Constr {
-        match self {
-            Constr::Top | Constr::Bot => self.clone(),
-            Constr::Eq(a, b) => Constr::Eq(a.subst_all(map), b.subst_all(map)),
-            Constr::Leq(a, b) => Constr::Leq(a.subst_all(map), b.subst_all(map)),
-            Constr::Lt(a, b) => Constr::Lt(a.subst_all(map), b.subst_all(map)),
-            Constr::And(cs) => Constr::And(cs.iter().map(|c| c.subst_all_inner(map)).collect()),
-            Constr::Or(cs) => Constr::Or(cs.iter().map(|c| c.subst_all_inner(map)).collect()),
-            Constr::Not(c) => Constr::Not(Box::new(c.subst_all_inner(map))),
-            Constr::Implies(a, b) => Constr::Implies(
-                Box::new(a.subst_all_inner(map)),
-                Box::new(b.subst_all_inner(map)),
-            ),
-            Constr::Forall(q, _) | Constr::Exists(q, _) => {
-                if map.contains_key(&q.var) || map.values().any(|r| r.mentions(&q.var)) {
-                    // Shadowing or capture risk: defer to the capture-avoiding
-                    // single substitution, pairwise (equivalent under the
-                    // precondition).
-                    map.iter().fold(self.clone(), |acc, (v, i)| acc.subst(v, i))
-                } else {
-                    match self {
-                        Constr::Forall(q, c) => {
-                            Constr::Forall(q.clone(), Box::new(c.subst_all_inner(map)))
-                        }
-                        Constr::Exists(q, c) => {
-                            Constr::Exists(q.clone(), Box::new(c.subst_all_inner(map)))
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-            }
-        }
-    }
-
     /// Evaluates the constraint to a boolean under a ground environment.
     ///
     /// Quantifiers are evaluated over the *bounded* domain `0..=bound`

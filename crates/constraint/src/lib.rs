@@ -34,7 +34,9 @@ pub use cache::{CacheStats, Fnv1a, QueryKey, QueryRef, ShardedValidityCache, Val
 pub use compile::{compile_query, CompiledQuery, EvalFrame, Val};
 pub use constr::{Constr, Quantified};
 pub use cpool::{CId, CNode, CPool};
-pub use exelim::{eliminate_existentials, ExElimOutcome, ExElimStats};
+pub use exelim::{
+    eliminate_existentials, Component, ExElimOutcome, ExElimStats, Resolver, SearchPlan,
+};
 pub use fm::{FmLimits, FmMemo, FmOutcome, FmVerdict};
 pub use solver::{
     CexSource, ProgramCacheStats, ProgramKey, Provenance, RefutationInfo, SearchExhaustedReason,

@@ -301,11 +301,12 @@ impl Idx {
     /// Requires that no replacement mentions a substituted variable (the
     /// form produced by the solver's existential elimination, which resolves
     /// mutual references first); under that precondition simultaneous and
-    /// sequential application agree, which is also how the rare
-    /// binder-capture case is handled.  Callers substituting into many
-    /// terms with one map should validate the map once themselves (see
-    /// [`crate::pool`]-level callers such as `Constr::subst_all`) — this
-    /// entry point does not re-check it.
+    /// sequential application agree up to the names of `Σ` binders inside
+    /// replacements (a later sequential step may rename them), and the rare
+    /// binder-capture case at a `Σ` of the term itself falls back to the
+    /// sequential fold.  Callers substituting into many terms with one map
+    /// should validate the map once themselves (the constraint pool's
+    /// `subst_all` does) — this entry point does not re-check it.
     pub fn subst_all(&self, map: &BTreeMap<IdxVar, Idx>) -> Idx {
         if map.is_empty() {
             return self.clone();

@@ -17,7 +17,7 @@ use rel_persist::{
 };
 use rel_syntax::parse_program;
 
-use crate::batch::{check_batch_with, BatchJob, BatchResult};
+use crate::batch::{check_batch_with, check_job_with, BatchJob, BatchResult};
 use crate::faultnet::Transport;
 use crate::replica::{
     from_hex, InboundStatus, ReplicaHub, ReplicaOptions, ReplicaSink, ReplicaStatus, SeqClass,
@@ -296,6 +296,13 @@ impl Service {
     /// Checks a batch of jobs on the worker pool, in submission order.
     pub fn check_batch(&self, jobs: &[BatchJob]) -> Vec<BatchResult> {
         check_batch_with(&self.engine, self.active_index(), jobs, self.workers)
+    }
+
+    /// Checks one batch job on the calling thread, under the same
+    /// def-index policy as [`Service::check_batch`] — for callers that
+    /// answer job by job, like the streamed batch.
+    pub fn check_job(&self, job: &BatchJob) -> BatchResult {
+        check_job_with(&self.engine, self.active_index(), job)
     }
 
     /// Process-wide cache counters.

@@ -568,6 +568,49 @@ fn streaming_batch_answers_per_job_on_both_planes() {
 }
 
 #[test]
+fn streaming_batch_follows_the_def_index_policy_of_plain_batches() {
+    // An in-memory daemon (no cache file) re-checks every definition, so a
+    // repeated batch reports nothing skipped — streamed or not.
+    let planes = Planes::start(1, |_| {});
+    let batch = Value::Arr(vec![Value::Str(bench_source("append"))]);
+    let skipped = |job: &Value| -> Vec<Value> {
+        let Some(Value::Arr(defs)) = job.get("defs") else {
+            panic!("no defs in {job}");
+        };
+        defs.iter()
+            .map(|d| d.get("skipped_unchanged").cloned().expect("flag"))
+            .collect()
+    };
+    let plain = || {
+        let line = ndjson_request(planes.ndjson, &wire(vec![("batch", batch.clone())]));
+        let response = parse_content(line.as_bytes());
+        let Some(Value::Arr(jobs)) = response.get("jobs") else {
+            panic!("no jobs in {response}");
+        };
+        skipped(&jobs[0])
+    };
+    let streamed = || {
+        let request = wire(vec![
+            ("batch", batch.clone()),
+            ("stream", Value::Bool(true)),
+        ]);
+        let line = ndjson_request(planes.ndjson, &request);
+        skipped(
+            parse_content(line.as_bytes())
+                .get("job")
+                .expect("job frame"),
+        )
+    };
+    let first = (streamed(), plain());
+    let second = (streamed(), plain());
+    for flags in [&first.0, &first.1, &second.0, &second.1] {
+        assert!(!flags.is_empty());
+        assert!(flags.iter().all(|f| *f == Value::Bool(false)), "{flags:?}");
+    }
+    planes.stop();
+}
+
+#[test]
 fn http_keep_alive_serves_sequential_requests() {
     let planes = Planes::start(2, |_| {});
     let mut stream = connect(planes.http);

@@ -70,11 +70,12 @@ fn flatten_is_promoted_and_proved() {
 /// verdict — a regression in either direction (a silent flip to passing,
 /// or a return of the minutes-long searches via test timeout) fails.
 ///
-/// `merge` and `msort` joined the batch with this PR: their residual
-/// existential searches (the quadratic candidate scan over the
-/// divide-and-conquer cost variables) used to run 20+ minutes; the
-/// per-component indexed search with memoized rejection holds merge to
-/// ~0.6 s and msort to ~7 s end-to-end, with the documented
+/// `merge` and `msort` are in the batch too: their residual existential
+/// searches (the quadratic candidate scan over the divide-and-conquer cost
+/// variables) once ran 20+ minutes; the per-component indexed search with
+/// memoized rejection, a dependency-table resolver and single-pass
+/// instantiation checks merge in a few milliseconds and msort in a few
+/// tenths of a second end-to-end (release build), with the documented
 /// `search-exhausted` refutations.
 #[test]
 fn unverified_batch_completes_quickly_with_documented_verdicts() {
